@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/topology"
@@ -28,7 +27,10 @@ type Config struct {
 	MaxCandidates int
 	// Admission, when non-nil, is consulted in addition to the built-in
 	// slot/RAM/bandwidth checks. The simulator uses it to account for
-	// capacity already reserved by in-flight migrations.
+	// capacity already reserved by in-flight migrations. BestMigration
+	// asks it only about candidates whose ΔC would beat the running best,
+	// so it must be a side-effect-free predicate; views running in
+	// parallel also call it concurrently.
 	Admission func(vm cluster.VMID, target cluster.HostID) bool
 }
 
@@ -48,16 +50,6 @@ type Decision struct {
 	Delta float64
 }
 
-// rankEntry is one neighbor in probe order: its current host and level
-// are resolved once so the rank sort and the candidate loop do no
-// repeated lookups.
-type rankEntry struct {
-	peer  cluster.VMID
-	host  cluster.HostID
-	level int
-	rate  float64
-}
-
 // Engine evaluates S-CORE migration decisions against the current
 // cluster allocation. It reads the cluster and traffic matrix but never
 // mutates them; executing a decision is the caller's (simulator's or
@@ -66,14 +58,21 @@ type rankEntry struct {
 //
 // The decision hot path (Delta, Admissible, BestMigration) is
 // allocation-free: neighbor edges are iterated straight off the traffic
-// matrix's CSR rows, and the rank buffer and probed-host set are scratch
-// state reused across calls. The engine additionally keeps incremental
+// matrix's CSR rows, and the candidate scan's buffers are scratch state
+// reused across calls. The engine additionally keeps incremental
 // accounting — a running C^A and per-host external traffic loads —
 // registered as a cluster allocation observer, so TotalCost and
 // HostNetLoad are O(1) between traffic windows instead of O(|pairs|)
 // per call. In-place traffic mutations are folded edge by edge from the
 // matrix's changelog (ChangesSince); only swapping matrices (SetTraffic)
 // or outrunning the changelog window forces a full rebuild.
+//
+// A BestMigration decision costs O(degree) to resolve the holder's peers
+// once, plus O(degree) per distinct scoring class among the probed
+// hosts: each host holding a peer is its own class, and the peer-free
+// hosts of a rack share one. Capacity, hook and NIC checks run only for
+// candidates whose ΔC would replace the running best, so the decisions
+// are those of running Admissible and Delta on every probed host.
 //
 // Engine is not safe for concurrent use: scratch buffers and the
 // accounting caches are mutated by reads.
@@ -97,13 +96,10 @@ type Engine struct {
 	rackOf []int32
 	podOf  []int32
 
-	// Scratch reused across decisions. The probed-host set is a 32-bit
-	// epoch array — half the footprint of the former uint64 epochs on
-	// what is the engine's largest per-host scratch — with an explicit
-	// wrap reset when the epoch counter overflows.
-	rank       []rankEntry
-	probed     []uint32 // probed[h] == probeEpoch ⇒ already probed this decision
-	probeEpoch uint32
+	// Candidate-scan scratch, sized up front (as every view's is) for
+	// the largest adjacency row at construction.
+	sc        scan
+	maxDegree int
 
 	// Incremental accounting (see TotalCost / HostNetLoad).
 	acctValid bool
@@ -139,7 +135,6 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	if n := cl.NumHosts(); n > probeSpan {
 		probeSpan = n
 	}
-	e.probed = make([]uint32, probeSpan)
 	if e.depth == 3 {
 		e.rackOf = make([]int32, probeSpan)
 		e.podOf = make([]int32, probeSpan)
@@ -148,6 +143,10 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 			e.podOf[h] = int32(topo.PodOf(cluster.HostID(h)))
 		}
 	}
+	for _, vm := range cl.VMs() {
+		e.maxDegree = max(e.maxDegree, tm.Degree(vm))
+	}
+	e.sc.size(probeSpan, len(e.rackHosts), e.maxDegree)
 	e.hostNet = make([]float64, cl.NumHosts())
 	e.detach = cl.Observe(e.onAllocChange, e.invalidateAccounting)
 	return e, nil
@@ -241,13 +240,14 @@ func (e *Engine) PairLevel(u, v cluster.VMID) int {
 
 // VMLevel returns ℓ^A(u) = max_{v∈Vu} ℓ^A(u, v), the highest
 // communication level of VM u (Section II); 0 for VMs with no traffic.
-func (e *Engine) VMLevel(u cluster.VMID) int {
+func (e *Engine) VMLevel(u cluster.VMID) int { return e.vmLevel(e, u) }
+
+func (e *Engine) vmLevel(st allocState, u cluster.VMID) int {
 	max := 0
-	hu := e.cl.HostOf(u)
+	hu := st.HostOf(u)
 	for _, ed := range e.tm.NeighborEdges(u) {
-		if l := e.levelOrDepth(hu, e.cl.HostOf(ed.Peer)); l > max {
-			max = l
-			if max == e.depth {
+		if l := e.levelOrDepth(hu, st.HostOf(ed.Peer)); l > max {
+			if max = l; max == e.depth {
 				break
 			}
 		}
@@ -459,149 +459,25 @@ func (e *Engine) HostNetLoad(h cluster.HostID) float64 {
 	return e.hostNet[h]
 }
 
-// Admissible reports whether target can accept u: free slot, enough RAM
-// (the capacity-response fields of Section V-B5) and, when a bandwidth
-// threshold is configured, enough NIC headroom after accounting for the
-// traffic that becomes host-internal (Section V-C).
+// Admissible reports whether target can accept u under the live
+// allocation (see admissible).
 func (e *Engine) Admissible(u cluster.VMID, target cluster.HostID) bool {
-	if !e.cl.Fits(u, target) {
-		return false
-	}
-	if e.cfg.Admission != nil && !e.cfg.Admission(u, target) {
-		return false
-	}
-	if e.cfg.BandwidthThreshold <= 0 {
-		return true
-	}
-	host, err := e.cl.Host(target)
-	if err != nil || host.NICMbps <= 0 {
-		return false
-	}
-	// Traffic between u and VMs already on target leaves the NIC; the
-	// rest of u's load joins it.
-	var internal, load float64
-	for _, ed := range e.tm.NeighborEdges(u) {
-		load += ed.Rate
-		if e.cl.HostOf(ed.Peer) == target {
-			internal += ed.Rate
-		}
-	}
-	current := e.HostNetLoad(target)
-	projected := current + load - 2*internal
-	// Admit when the projection stays under the policy threshold, or
-	// when the move does not worsen an already-hot NIC (co-locating a
-	// heavy pair *reduces* both NICs' load; refusing such moves would
-	// freeze an overloaded cluster in exactly the state that needs
-	// fixing).
-	limit := e.cfg.BandwidthThreshold * host.NICMbps
-	if current > limit {
-		return projected <= current
-	}
-	return projected <= limit
+	return e.admissible(e, u, target, nil)
 }
 
-// neighborRank orders u's neighbors from highest to lowest communication
-// level, breaking ties by descending rate — the probe order of
-// Section V-B5 ("rank neighboring VMs from highest to lowest
-// communication levels"). The returned slice is the engine's reusable
-// scratch buffer, valid until the next call.
-func (e *Engine) neighborRank(u cluster.VMID) []rankEntry {
-	hu := e.cl.HostOf(u)
-	e.rank = e.rank[:0]
-	for _, ed := range e.tm.NeighborEdges(u) {
-		hz := e.cl.HostOf(ed.Peer)
-		e.rank = append(e.rank, rankEntry{
-			peer:  ed.Peer,
-			host:  hz,
-			level: e.levelOrDepth(hu, hz),
-			rate:  ed.Rate,
-		})
-	}
-	sortRank(e.rank)
-	return e.rank
-}
-
-// sortRank orders rank entries from highest to lowest communication
-// level, breaking ties by descending rate — shared by the engine's and
-// the views' neighborRank so both probe in the same order.
-func sortRank(rank []rankEntry) {
-	slices.SortStableFunc(rank, func(a, b rankEntry) int {
-		if a.level != b.level {
-			return b.level - a.level
-		}
-		switch {
-		case a.rate > b.rate:
-			return -1
-		case a.rate < b.rate:
-			return 1
-		}
-		return 0
-	})
-}
-
-// considerTarget probes one candidate host: skip duplicates and the
-// current host, count the probe, and fold an admissible target into the
-// running best.
-func (e *Engine) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
-	if h == cur || h < 0 || int(h) >= len(e.probed) || e.probed[h] == e.probeEpoch {
-		return
-	}
-	e.probed[h] = e.probeEpoch
-	*probes++
-	if !e.Admissible(u, h) {
-		return
-	}
-	if d := e.Delta(u, h); best.Target == cluster.NoHost || d > best.Delta {
-		best.Target, best.Delta = h, d
-	}
-}
+// HostOf returns the VM's host in the live cluster.
+func (e *Engine) HostOf(vm cluster.VMID) cluster.HostID      { return e.cl.HostOf(vm) }
+func (e *Engine) fits(u cluster.VMID, h cluster.HostID) bool { return e.cl.Fits(u, h) }
+func (e *Engine) hostNetLoad(h cluster.HostID) float64       { return e.HostNetLoad(h) }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
 // and returns the admissible move with the largest ΔC, provided it
 // satisfies Theorem 1 (ΔC > c_m). The candidate set is the servers of
-// u's neighbors in rank order, falling back to other servers in the same
-// rack when a neighbor's own server refuses the capacity probe.
+// u's neighbors in rank order, each followed by the other servers of its
+// rack, which still collapse the pair to level 1 when the neighbor's own
+// server refuses the capacity probe.
 func (e *Engine) BestMigration(u cluster.VMID) (Decision, bool) {
-	cur := e.cl.HostOf(u)
-	if cur == cluster.NoHost {
-		return Decision{}, false
-	}
-	best := Decision{VM: u, From: cur, Target: cluster.NoHost}
-	e.probeEpoch++
-	if e.probeEpoch == 0 { // epoch wrapped: stale marks would collide
-		clear(e.probed)
-		e.probeEpoch = 1
-	}
-	probes := 0
-	limit := e.cfg.MaxCandidates
-
-	for _, ent := range e.neighborRank(u) {
-		if limit > 0 && probes >= limit {
-			break
-		}
-		hz := ent.host
-		if hz == cluster.NoHost {
-			continue
-		}
-		e.considerTarget(u, cur, hz, &best, &probes)
-		// The neighbor's server may be full; try the rest of its rack,
-		// which still collapses the pair to level 1. Hosts outside the
-		// topology's rack table (cluster larger than topology) have no
-		// rack to fall back to, mirroring HostsInRack returning nil.
-		if r := e.topo.RackOf(hz); r >= 0 && r < len(e.rackHosts) {
-			for _, alt := range e.rackHosts[r] {
-				if limit > 0 && probes >= limit {
-					break
-				}
-				e.considerTarget(u, cur, alt, &best, &probes)
-			}
-		}
-	}
-
-	if best.Target == cluster.NoHost || best.Delta <= e.cfg.MigrationCost {
-		return Decision{}, false
-	}
-	return best, true
+	return e.bestMigration(e, &e.sc, u)
 }
 
 // Apply executes a previously computed decision against the cluster,

@@ -23,8 +23,9 @@ import (
 // merge phase (engine only).
 //
 // With an empty overlay a view reproduces the engine's decisions
-// exactly: Delta, Admissible and BestMigration mirror the engine's
-// semantics term for term (see TestViewMatchesEngine).
+// exactly: BestMigration and Admissible run the engine's own candidate
+// scan and admission check against the view's allocation, and Delta
+// sums the same terms as Engine.Delta (see TestViewMatchesEngine).
 type AllocView struct {
 	eng *Engine
 
@@ -43,11 +44,9 @@ type AllocView struct {
 	netD      []float64
 	commits   []Decision
 
-	// Scratch reused across decisions (the engine's own scratch is
+	// sc is the view's own candidate-scan scratch (the engine's is
 	// reserved for its single-threaded paths).
-	rank       []rankEntry
-	probed     []uint32
-	probeEpoch uint32
+	sc scan
 }
 
 // NewView creates a decision view over the engine's current state. It
@@ -58,13 +57,13 @@ func (e *Engine) NewView() *AllocView {
 	e.ensureAccounting()
 	n := e.cl.NumHosts()
 	v := &AllocView{
-		eng:    e,
-		slotD:  make([]int32, n),
-		ramD:   make([]int32, n),
-		cpuD:   make([]int32, n),
-		netD:   make([]float64, n),
-		probed: make([]uint32, len(e.probed)),
+		eng:   e,
+		slotD: make([]int32, n),
+		ramD:  make([]int32, n),
+		cpuD:  make([]int32, n),
+		netD:  make([]float64, n),
 	}
+	v.sc.size(len(e.sc.probed), len(e.sc.racks), e.maxDegree)
 	var ok bool
 	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshot(); !ok {
 		v.moved = make(map[cluster.VMID]cluster.HostID)
@@ -96,14 +95,10 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 		clear(v.cpuD)
 		clear(v.netD)
 	}
-	if len(v.probed) != len(e.probed) {
-		v.probed = make([]uint32, len(e.probed))
-		v.probeEpoch = 0
-	}
-	// probed marks are epoch-scoped: stale entries from prior rounds can
+	// Scan marks are epoch-scoped: stale entries from prior rounds can
 	// never equal a yet-unused epoch, so the scratch carries over as-is.
+	v.sc.size(len(e.sc.probed), len(e.sc.racks), e.maxDegree)
 	v.commits = v.commits[:0]
-	v.rank = v.rank[:0]
 	var ok bool
 	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshotInto(v.dense); ok {
 		v.moved = nil
@@ -155,21 +150,8 @@ func (v *AllocView) PairLevel(u, w cluster.VMID) int {
 	return v.eng.levelOrDepth(v.HostOf(u), v.HostOf(w))
 }
 
-// VMLevel returns ℓ(u) = max over u's peers, mirroring Engine.VMLevel.
-func (v *AllocView) VMLevel(u cluster.VMID) int {
-	e := v.eng
-	max := 0
-	hu := v.HostOf(u)
-	for _, ed := range e.tm.NeighborEdges(u) {
-		if l := e.levelOrDepth(hu, v.HostOf(ed.Peer)); l > max {
-			max = l
-			if max == e.depth {
-				break
-			}
-		}
-	}
-	return max
-}
+// VMLevel returns ℓ(u) = max over u's peers under the view's allocation.
+func (v *AllocView) VMLevel(u cluster.VMID) int { return v.eng.vmLevel(v, u) }
 
 // Delta returns ΔC (Eq. 5) for migrating u to target under the view's
 // allocation, mirroring Engine.Delta.
@@ -228,116 +210,16 @@ func (v *AllocView) hostNetLoad(h cluster.HostID) float64 {
 	return v.eng.hostNet[h] + v.netD[h]
 }
 
-// Admissible mirrors Engine.Admissible under the view's allocation:
-// capacity, the configured admission hook, and the bandwidth-threshold
-// check of Section V-C. A non-nil Config.Admission hook must be safe for
-// concurrent use when views run in parallel.
+// Admissible is Engine.Admissible under the view's allocation.
 func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
-	e := v.eng
-	if !v.fits(u, target) {
-		return false
-	}
-	if e.cfg.Admission != nil && !e.cfg.Admission(u, target) {
-		return false
-	}
-	if e.cfg.BandwidthThreshold <= 0 {
-		return true
-	}
-	host, err := e.cl.Host(target)
-	if err != nil || host.NICMbps <= 0 {
-		return false
-	}
-	var internal, load float64
-	for _, ed := range e.tm.NeighborEdges(u) {
-		load += ed.Rate
-		if v.HostOf(ed.Peer) == target {
-			internal += ed.Rate
-		}
-	}
-	current := v.hostNetLoad(target)
-	projected := current + load - 2*internal
-	limit := e.cfg.BandwidthThreshold * host.NICMbps
-	if current > limit {
-		return projected <= current
-	}
-	return projected <= limit
-}
-
-// neighborRank mirrors Engine.neighborRank into the view's own scratch.
-func (v *AllocView) neighborRank(u cluster.VMID) []rankEntry {
-	e := v.eng
-	hu := v.HostOf(u)
-	v.rank = v.rank[:0]
-	for _, ed := range e.tm.NeighborEdges(u) {
-		hz := v.HostOf(ed.Peer)
-		v.rank = append(v.rank, rankEntry{
-			peer:  ed.Peer,
-			host:  hz,
-			level: e.levelOrDepth(hu, hz),
-			rate:  ed.Rate,
-		})
-	}
-	sortRank(v.rank)
-	return v.rank
-}
-
-// considerTarget mirrors Engine.considerTarget against the view.
-func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
-	if h == cur || h < 0 || int(h) >= len(v.probed) || v.probed[h] == v.probeEpoch {
-		return
-	}
-	v.probed[h] = v.probeEpoch
-	*probes++
-	if !v.Admissible(u, h) {
-		return
-	}
-	if d := v.Delta(u, h); best.Target == cluster.NoHost || d > best.Delta {
-		best.Target, best.Delta = h, d
-	}
+	return v.eng.admissible(v, u, target, nil)
 }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
-// under the view's allocation, mirroring Engine.BestMigration: probe the
-// servers of u's neighbors in rank order with same-rack fallback, and
-// return the admissible move with the largest ΔC if it clears c_m.
+// under the view's allocation with the engine's candidate scan (see
+// Engine.BestMigration).
 func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
-	e := v.eng
-	cur := v.HostOf(u)
-	if cur == cluster.NoHost {
-		return Decision{}, false
-	}
-	best := Decision{VM: u, From: cur, Target: cluster.NoHost}
-	v.probeEpoch++
-	if v.probeEpoch == 0 { // epoch wrapped: stale marks would collide
-		clear(v.probed)
-		v.probeEpoch = 1
-	}
-	probes := 0
-	limit := e.cfg.MaxCandidates
-
-	for _, ent := range v.neighborRank(u) {
-		if limit > 0 && probes >= limit {
-			break
-		}
-		hz := ent.host
-		if hz == cluster.NoHost {
-			continue
-		}
-		v.considerTarget(u, cur, hz, &best, &probes)
-		if r := e.topo.RackOf(hz); r >= 0 && r < len(e.rackHosts) {
-			for _, alt := range e.rackHosts[r] {
-				if limit > 0 && probes >= limit {
-					break
-				}
-				v.considerTarget(u, cur, alt, &best, &probes)
-			}
-		}
-	}
-
-	if best.Target == cluster.NoHost || best.Delta <= e.cfg.MigrationCost {
-		return Decision{}, false
-	}
-	return best, true
+	return v.eng.bestMigration(v, &v.sc, u)
 }
 
 // Commit stages a decision in the view: the VM is recorded at its new

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"sync"
 	"time"
 
@@ -622,11 +621,7 @@ func (d *Daemon) applyObserve(o *op) opResult {
 	t0 := time.Now()
 	applied, rejected := 0, 0
 	for _, s := range o.samples {
-		if s.A == s.B || s.RateMbps < 0 || math.IsNaN(s.RateMbps) || math.IsInf(s.RateMbps, 0) {
-			rejected++
-			continue
-		}
-		if d.cl.HostOf(s.A) == cluster.NoHost || d.cl.HostOf(s.B) == cluster.NoHost {
+		if checkPair(d.cl, s.A, s.B, s.RateMbps) != nil {
 			rejected++
 			continue
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -155,8 +156,49 @@ func Restore(path string, cfg Config) (*Daemon, error) {
 		}
 	}
 	tm := traffic.NewMatrix()
-	for _, p := range snap.Pairs {
-		tm.Set(cluster.VMID(p.A), cluster.VMID(p.B), math.Float64frombits(p.RateBits))
+	for i, p := range snap.Pairs {
+		a, b, rate := cluster.VMID(p.A), cluster.VMID(p.B), math.Float64frombits(p.RateBits)
+		if err := checkPair(cl, a, b, rate); err != nil {
+			return nil, &SnapshotPairError{Path: path, Index: i, A: a, B: b, Err: err}
+		}
+		tm.Set(a, b, rate)
 	}
 	return newDaemon(cfg, topo, cl, tm, &snap)
+}
+
+// Reasons a snapshot traffic pair is refused; SnapshotPairError wraps
+// one of them.
+var (
+	ErrSelfPair   = errors.New("pair names one VM twice")
+	ErrBadRate    = errors.New("rate is negative, NaN or infinite")
+	ErrUnplacedVM = errors.New("pair names a VM that is unknown or unplaced")
+)
+
+// SnapshotPairError reports the first traffic pair Restore refused.
+type SnapshotPairError struct {
+	Path  string
+	Index int
+	A, B  cluster.VMID
+	Err   error
+}
+
+func (e *SnapshotPairError) Error() string {
+	return fmt.Sprintf("serve: snapshot %s pair %d (%d, %d): %v", e.Path, e.Index, e.A, e.B, e.Err)
+}
+
+func (e *SnapshotPairError) Unwrap() error { return e.Err }
+
+// checkPair applies the checks /v1/observe applies to an ingest sample,
+// so a snapshot cannot carry into the cost accounting what ingest
+// would have refused.
+func checkPair(cl *cluster.Cluster, a, b cluster.VMID, rate float64) error {
+	switch {
+	case a == b:
+		return ErrSelfPair
+	case rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0):
+		return ErrBadRate
+	case cl.HostOf(a) == cluster.NoHost || cl.HostOf(b) == cluster.NoHost:
+		return ErrUnplacedVM
+	}
+	return nil
 }

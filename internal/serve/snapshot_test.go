@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -157,4 +160,118 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	if _, err := Restore(garbage, Config{}); err == nil {
 		t.Fatal("Restore of garbage succeeded")
 	}
+}
+
+// pairSnapshot is a minimal valid snapshot — a k=4 fat-tree, three
+// placed VMs, one unplaced — with the given traffic pairs.
+func pairSnapshot(t testing.TB, pairs ...snapPair) []byte {
+	t.Helper()
+	snap := snapshotFile{
+		Version:  snapshotVersion,
+		Topology: TopologySpec{Kind: "fattree", K: 4, HostLinkMbps: 1000},
+		Hosts:    cluster.UniformHosts(16, 4, 4096, 1000),
+		NextID:   5,
+		VMs: []snapVM{
+			{ID: 1, RAMMB: 64, Host: 0},
+			{ID: 2, RAMMB: 64, Host: 5},
+			{ID: 3, RAMMB: 64, Host: 9},
+			{ID: 4, RAMMB: 64, Host: -1},
+		},
+		Pairs: pairs,
+	}
+	buf, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+func ratePair(a, b uint32, rate float64) snapPair {
+	return snapPair{A: a, B: b, RateBits: math.Float64bits(rate)}
+}
+
+// TestRestoreRejectsBadPairs: a snapshot pair that /v1/observe would
+// refuse is refused by Restore too, with a typed error naming the pair.
+func TestRestoreRejectsBadPairs(t *testing.T) {
+	good := ratePair(1, 2, 40)
+	cases := []struct {
+		name string
+		bad  snapPair
+		want error
+	}{
+		{"nan", ratePair(1, 3, math.NaN()), ErrBadRate},
+		{"+inf", ratePair(1, 3, math.Inf(1)), ErrBadRate},
+		{"negative", ratePair(1, 3, -5), ErrBadRate},
+		{"self", ratePair(2, 2, 10), ErrSelfPair},
+		{"unknown", ratePair(1, 77, 10), ErrUnplacedVM},
+		{"unplaced", ratePair(4, 3, 10), ErrUnplacedVM},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".snapshot")
+			if err := os.WriteFile(path, pairSnapshot(t, good, tc.bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := Restore(path, Config{})
+			if err == nil {
+				d.Close()
+				t.Fatal("Restore accepted the pair")
+			}
+			var pe *SnapshotPairError
+			if !errors.As(err, &pe) || !errors.Is(err, tc.want) || pe.Index != 1 {
+				t.Fatalf("Restore error %v; want a SnapshotPairError for pair 1 wrapping %v", err, tc.want)
+			}
+		})
+	}
+	path := filepath.Join(dir, "good.snapshot")
+	if err := os.WriteFile(path, pairSnapshot(t, good, ratePair(2, 3, 7.5)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Restore(path, Config{})
+	if err != nil {
+		t.Fatalf("Restore of valid pairs: %v", err)
+	}
+	d.Close()
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore: it must return an error
+// or a daemon, never panic, and a restored daemon's traffic must be
+// what ingest would have accepted.
+func FuzzRestore(f *testing.F) {
+	f.Add(pairSnapshot(f, ratePair(1, 2, 40), ratePair(2, 3, 7.5)))
+	f.Add(pairSnapshot(f, ratePair(1, 3, math.NaN())))
+	f.Add(pairSnapshot(f, ratePair(1, 3, math.Inf(1))))
+	f.Add(pairSnapshot(f, ratePair(2, 2, 10)))
+	f.Add(pairSnapshot(f, ratePair(1, 77, 10)))
+	f.Add(pairSnapshot(f, ratePair(4, 3, 10)))
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte("not json"))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Restore builds the topology before it can compare it with the
+		// host list, so keep fuzzed plants small enough to build.
+		var probe snapshotFile
+		if json.Unmarshal(data, &probe) == nil {
+			if c := probe.Topology.Canonical; probe.Topology.K > 16 ||
+				c != nil && (c.Racks > 64 || c.HostsPerRack > 64 || c.CoreSwitches > 64) {
+				t.Skip("plant too large to build")
+			}
+		}
+		path := filepath.Join(dir, "fuzz.snapshot")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Restore(path, Config{})
+		if err != nil {
+			return
+		}
+		defer d.Close()
+		pairs, rates := d.tm.Pairs()
+		for i, p := range pairs {
+			if checkPair(d.cl, p.A, p.B, rates[i]) != nil || rates[i] == 0 {
+				t.Fatalf("restored pair (%d, %d) at rate %v", p.A, p.B, rates[i])
+			}
+		}
+	})
 }
