@@ -353,12 +353,15 @@ func (c *Coordinator) RunRound() (*Round, error) {
 			}
 		}
 		if tr != nil {
-			tr.Record(obs.Event{Kind: obs.EvRingDone, Round: c.round, Shard: int16(s), Arg: int64(o.stats.Hops)})
+			// One clock read stamps the whole merge batch, as the audit
+			// pass does: a read per verdict cost more than the verdicts.
+			t := time.Now().UnixNano()
+			tr.Record(obs.Event{Kind: obs.EvRingDone, T: t, Round: c.round, Shard: int16(s), Arg: int64(o.stats.Hops)})
 			for _, d := range applied {
-				tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictMerged, Round: c.round, Shard: int16(s), Arg: int64(d.VM), Value: d.Delta})
+				tr.Record(obs.Event{Kind: obs.EvVerdict, T: t, Code: obs.VerdictMerged, Round: c.round, Shard: int16(s), Arg: int64(d.VM), Value: d.Delta})
 			}
 			for k := 0; k < stale; k++ {
-				tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictStale, Round: c.round, Shard: int16(s), Arg: -1})
+				tr.Record(obs.Event{Kind: obs.EvVerdict, T: t, Code: obs.VerdictStale, Round: c.round, Shard: int16(s), Arg: -1})
 			}
 		}
 	}
@@ -378,11 +381,12 @@ func (c *Coordinator) RunRound() (*Round, error) {
 		round.RealizedDelta += d.Delta
 	}
 	if tr != nil {
+		t := time.Now().UnixNano()
 		for _, d := range applied {
-			tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictCrossApplied, Round: c.round, Shard: -1, Arg: int64(d.VM), Value: d.Delta})
+			tr.Record(obs.Event{Kind: obs.EvVerdict, T: t, Code: obs.VerdictCrossApplied, Round: c.round, Shard: -1, Arg: int64(d.VM), Value: d.Delta})
 		}
 		for _, d := range rejected {
-			tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictCrossRejected, Round: c.round, Shard: -1, Arg: int64(d.VM)})
+			tr.Record(obs.Event{Kind: obs.EvVerdict, T: t, Code: obs.VerdictCrossRejected, Round: c.round, Shard: -1, Arg: int64(d.VM)})
 		}
 	}
 	if m != nil {
