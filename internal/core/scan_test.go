@@ -240,12 +240,8 @@ func saturatingThreshold(t *testing.T, topo topology.Topology, cm CostModel, cl 
 func compareScans(t *testing.T, eng, viewEng *Engine) {
 	t.Helper()
 	vms := eng.Cluster().VMs()
-	check := func(plane string, st refState, got Decision, gotOK bool, u cluster.VMID) {
+	check := func(plane string, e *Engine, st refState, got Decision, gotOK bool, u cluster.VMID) {
 		t.Helper()
-		e := eng
-		if plane == "view" {
-			e = viewEng
-		}
 		want, wantOK := refBestMigration(e, st, u)
 		if gotOK != wantOK || got.VM != want.VM || got.From != want.From || got.Target != want.Target ||
 			math.Float64bits(got.Delta) != math.Float64bits(want.Delta) {
@@ -257,7 +253,7 @@ func compareScans(t *testing.T, eng, viewEng *Engine) {
 	applied := 0
 	for _, u := range vms {
 		d, ok := eng.BestMigration(u)
-		check("engine", eng, d, ok, u)
+		check("engine", eng, eng, d, ok, u)
 		if ok {
 			if _, err := eng.Apply(d); err != nil {
 				t.Fatalf("Apply(%+v): %v", d, err)
@@ -273,7 +269,7 @@ func compareScans(t *testing.T, eng, viewEng *Engine) {
 	staged := 0
 	for _, u := range vms {
 		d, ok := v.BestMigration(u)
-		check("view", v, d, ok, u)
+		check("view", viewEng, v, d, ok, u)
 		if ok {
 			if _, err := v.Commit(d); err != nil {
 				t.Fatalf("Commit(%+v): %v", d, err)
